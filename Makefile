@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint staticcheck race verify bench bench-smoke bench-compare profile soak soak-smoke saturate saturate-smoke
+.PHONY: build test vet lint staticcheck race bench-module verify bench bench-smoke bench-compare profile soak soak-smoke saturate saturate-smoke
 
 build:
 	$(GO) build ./...
@@ -40,7 +40,8 @@ staticcheck:
 # /query shed path, the lock-free metrics registry, the background policy
 # re-solve / hot-swap path, the fair admitter + hot-reloaded tenant
 # registry, and the continuous-batching LLM worker's step loop vs handler
-# handoff — llm and sim back that worker's model and selector types); run
+# handoff — llm holds the Batcher that loop drives, and sim the selectors
+# it is handed); run
 # them under the race detector. Their tests scale sleeps by TimeScale, so
 # the race pass stays within a CI budget.
 race:
@@ -72,8 +73,14 @@ saturate-smoke:
 	$(GO) run ./cmd/soak -saturate -dur 2s -cpuprofile soak-cpu.pprof 2>&1 | tee saturate-smoke.out
 	$(GO) tool pprof -top -nodecount 20 soak-cpu.pprof | tee soak-cpu-top.txt
 
+# The benchmark (ramsisbench/) is a nested module, so the root ./... never
+# compiles it: vet and test it on its own, so a change to an API it uses
+# fails here and not only when the benchmark runs.
+bench-module:
+	cd ramsisbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
 # Tier-1 verify path (see ROADMAP.md).
-verify: build lint test race
+verify: build lint test race bench-module
 
 # Perf measurement over the hot paths: the MDP solve (slice vs compiled
 # CSR kernels), the adaptation re-solve matrix (Jacobi vs prioritized x

@@ -112,7 +112,7 @@ func runLLMSim(o llmSimOpts) {
 		rate = tr.MaxQPS()
 	}
 
-	var sel sim.ModelSelector
+	var sel llm.Selector
 	var tokenPol *core.LLMPolicy
 	switch o.method {
 	case "RAMSIS":

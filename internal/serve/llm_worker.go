@@ -7,12 +7,10 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"ramsis/internal/llm"
-	"ramsis/internal/sim"
 	"ramsis/internal/telemetry"
 )
 
@@ -33,25 +31,11 @@ type GenSummary struct {
 	Latency float64 `json:"latency"`
 }
 
-// genSeq is one in-flight /generate request inside the worker's
-// continuous-batching loop. The step loop owns every field while the
-// sequence is queued or running; the handler reads sum and reject only
-// after tok is closed, which orders the writes.
-type genSeq struct {
-	prefill, decode int
-	arrival         time.Time
-	traceID         string
-
-	admitAt         time.Time
-	prefillLeft     int
-	decodeLeft      int
-	kvHeld          int
-	reserve         int
-	prefillChunk    int
-	decodeScheduled bool
-	firstTokenAt    time.Time
-	lastTokenAt     time.Time
-
+// genReq is one in-flight /generate request, the Ref of its llm.Seq. The
+// step loop writes sum and reject; the handler reads them only after tok is
+// closed, which orders the writes.
+type genReq struct {
+	traceID string
 	// tok receives one send per generated token and is closed on
 	// completion (or rejection). Capacity covers every token, so the step
 	// loop never blocks on a slow reader.
@@ -64,19 +48,20 @@ type genSeq struct {
 // runs the request through a continuous-batching step loop shared across
 // all in-flight requests, streaming one byte per generated token (the
 // client's first byte read is a real wire TTFT measurement) and closing
-// with a newline-delimited JSON summary trailer. The loop mirrors the
-// simulator's engine — per-step admission under KV reservations, decode-
-// first composition, chunked prefill, drain-then-switch model selection —
-// but advances in wall-clock time: each step holds the batch for the step
-// model's modeled latency divided by TimeScale. Metrics are reported in
-// modeled time either way, like the scalar Worker.
+// with a newline-delimited JSON summary trailer. The loop drives the same
+// llm.Batcher as the simulator's engine — per-step admission under KV
+// reservations, decode-first composition, chunked prefill, drain-then-switch
+// model selection — in wall-clock time: its clock is the time since Start
+// times TimeScale, and each step holds the batch for the step model's
+// modeled latency divided by TimeScale. Metrics are reported in modeled
+// time either way, like the scalar Worker.
 type LLMWorker struct {
 	Models    llm.Set
 	SLO       float64
 	TimeScale float64
 	// Selector is consulted at every step boundary with the worker's
 	// observable state; nil pins the most accurate model.
-	Selector sim.ModelSelector
+	Selector llm.Selector
 	// KVCap, when > 0, overrides every model's KV capacity in tokens.
 	KVCap int
 	// Telemetry backs /metrics; Start builds a registry when nil. The LLM
@@ -92,29 +77,20 @@ type LLMWorker struct {
 	// TraceWriter, when set, additionally streams fragments as JSONL.
 	TraceWriter *telemetry.TraceWriter
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	models     llm.Set // KV-cap-overridden serving set
-	model      int
-	draining   bool
-	waiting    []*genSeq
-	running    []*genSeq
-	kvUsed     int
-	kvReserved int
-	outTok     int
-	stopped    bool
-	srv        *http.Server
-	addr       string
+	mu      sync.Mutex
+	cond    *sync.Cond
+	b       *llm.Batcher // guarded by mu
+	start   time.Time
+	stopped bool
+	srv     *http.Server
+	addr    string
 
-	ttftHist, tbtHist, stepHist, latHist *telemetry.Histogram
-	prefillCtr, decodeCtr, switchCtr     *telemetry.Counter
-	queriesCtr, violationsCtr, satAccCtr *telemetry.Counter
-	stepsVec, modelQueriesVec            *telemetry.CounterVec
-	kvGauge                              *telemetry.Gauge
+	tel     *telemetry.LLMSeries
+	kvGauge *telemetry.Gauge
 }
 
 // NewLLMWorker builds an LLM worker server (not yet started).
-func NewLLMWorker(models llm.Set, slo, timeScale float64, sel sim.ModelSelector) *LLMWorker {
+func NewLLMWorker(models llm.Set, slo, timeScale float64, sel llm.Selector) *LLMWorker {
 	if timeScale <= 0 {
 		timeScale = 1
 	}
@@ -133,8 +109,6 @@ func (w *LLMWorker) Start() error {
 	if err := w.Models.Validate(); err != nil {
 		return err
 	}
-	w.models = w.Models.WithKVCap(w.KVCap)
-	w.model = w.models.MostAccurate()
 	w.cond = sync.NewCond(&w.mu)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -151,27 +125,10 @@ func (w *LLMWorker) Start() error {
 		w.Traces = telemetry.NewTraceBuffer(0)
 	}
 	reg := w.Telemetry
-	reg.Help(telemetry.MetricLLMTTFT, "Time to first token in modeled seconds.")
-	reg.Help(telemetry.MetricLLMTBT, "Time between decode tokens in modeled seconds.")
-	reg.Help(telemetry.MetricLLMStepSeconds, "Continuous-batching step latency in modeled seconds.")
-	reg.Help(telemetry.MetricLLMKVUsage, "KV-cache occupancy fraction per worker.")
-	w.ttftHist = reg.Histogram(telemetry.MetricLLMTTFT)
-	w.tbtHist = reg.Histogram(telemetry.MetricLLMTBT)
-	w.stepHist = reg.Histogram(telemetry.MetricLLMStepSeconds)
-	w.latHist = reg.Histogram(telemetry.MetricLatencySeconds)
-	w.prefillCtr = reg.Counter(telemetry.MetricLLMTokens, "kind", "prefill")
-	w.decodeCtr = reg.Counter(telemetry.MetricLLMTokens, "kind", "decode")
-	w.switchCtr = reg.Counter(telemetry.MetricLLMModelSwitches)
-	w.queriesCtr = reg.Counter(telemetry.MetricQueries)
-	w.violationsCtr = reg.Counter(telemetry.MetricViolations)
-	w.satAccCtr = reg.Counter(telemetry.MetricSatAccuracySum)
-	w.stepsVec = reg.CounterVec(telemetry.MetricLLMSteps, "model")
-	w.modelQueriesVec = reg.CounterVec(telemetry.MetricModelQueries, "model")
-	idx := w.Index
-	if idx < 0 {
-		idx = 0
-	}
-	w.kvGauge = reg.Gauge(telemetry.MetricLLMKVUsage, "worker", strconv.Itoa(idx))
+	w.tel = telemetry.NewLLMSeries(reg)
+	w.kvGauge = w.tel.KVUsage(max(w.Index, 0))
+	w.b = llm.NewBatcher(w.Models.WithKVCap(w.KVCap), w.SLO, w.Selector, (*genEvents)(w))
+	w.start = time.Now()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/generate", w.handleGenerate)
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
@@ -195,11 +152,11 @@ func (w *LLMWorker) Stop() error {
 	w.mu.Lock()
 	if !w.stopped {
 		w.stopped = true
-		for _, s := range append(w.waiting, w.running...) {
-			s.reject = "worker stopped"
-			close(s.tok)
-		}
-		w.waiting, w.running = nil, nil
+		w.b.Abort(func(s *llm.Seq) {
+			r := s.Ref.(*genReq)
+			r.reject = "worker stopped"
+			close(r.tok)
+		})
 		w.cond.Broadcast()
 	}
 	w.mu.Unlock()
@@ -224,23 +181,18 @@ func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	gr.Prefill = max(gr.Prefill, 1)
-	gr.Decode = max(gr.Decode, 1)
-	s := &genSeq{
-		prefill: gr.Prefill,
-		decode:  gr.Decode,
-		arrival: time.Now(),
+	r := &genReq{
 		traceID: req.Header.Get("X-Trace-Id"),
-		tok:     make(chan struct{}, gr.Decode),
+		tok:     make(chan struct{}, max(gr.Decode, 1)),
 	}
+	arrival := w.now()
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
 		http.Error(rw, "worker stopped", http.StatusServiceUnavailable)
 		return
 	}
-	w.waiting = append(w.waiting, s)
-	w.outTok += gr.Prefill + gr.Decode
+	w.b.Enqueue(llm.Seq{Ref: r, Arrival: arrival, Prefill: gr.Prefill, Decode: gr.Decode})
 	w.mu.Unlock()
 	w.cond.Signal()
 
@@ -250,7 +202,7 @@ func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 	fl, _ := rw.(http.Flusher)
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	streamed := 0
-	for range s.tok {
+	for range r.tok {
 		if _, err := rw.Write([]byte{'t'}); err != nil {
 			return // client went away; the loop still finishes the sequence
 		}
@@ -259,86 +211,38 @@ func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 		}
 		streamed++
 	}
-	if s.reject != "" && streamed == 0 {
-		http.Error(rw, s.reject, http.StatusServiceUnavailable)
+	if r.reject != "" && streamed == 0 {
+		http.Error(rw, r.reject, http.StatusServiceUnavailable)
 		return
 	}
-	trailer, err := json.Marshal(s.sum)
+	trailer, err := json.Marshal(r.sum)
 	if err != nil {
 		return
 	}
 	_, _ = rw.Write(append(append(make([]byte, 0, len(trailer)+1), '\n'), trailer...))
 }
 
-// loop is the worker's continuous-batching engine: admit at step
-// boundaries, compose decode-first under the step budget, hold the batch
-// for the modeled step time compressed by TimeScale, then land tokens.
+// now returns the worker's clock: modeled seconds since Start.
+func (w *LLMWorker) now() float64 { return time.Since(w.start).Seconds() * w.TimeScale }
+
+// loop drives the worker's Batcher in wall-clock time: begin a step, hold
+// the batch for its modeled time compressed by TimeScale, then land it.
 func (w *LLMWorker) loop() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for {
-		for !w.stopped && len(w.waiting) == 0 && len(w.running) == 0 {
+		for !w.stopped && w.b.Idle() {
 			w.cond.Wait()
 		}
 		if w.stopped {
 			return
 		}
-		w.maybeSwitch()
-		m := w.models.Models[w.model]
-		cap := m.KVCapTokens
-		if !w.draining {
-			for len(w.waiting) > 0 && len(w.running) < m.MaxSeqs {
-				s := w.waiting[0]
-				need := s.prefill + s.decode
-				if w.kvReserved+need > cap {
-					if len(w.running) == 0 && w.kvReserved == 0 {
-						// Can never fit this model's cache even empty:
-						// reject rather than deadlock the queue head.
-						w.waiting = w.waiting[1:]
-						w.outTok -= need
-						s.reject = fmt.Sprintf("request footprint %d tokens exceeds model %s KV capacity %d",
-							need, m.Name, cap)
-						close(s.tok)
-						continue
-					}
-					break // FIFO admission: no head-of-line bypass
-				}
-				w.kvReserved += need
-				s.admitAt = time.Now()
-				s.prefillLeft = s.prefill
-				s.decodeLeft = s.decode
-				s.reserve = need
-				w.running = append(w.running, s)
-				w.waiting = w.waiting[1:]
-			}
-		}
-		if len(w.running) == 0 {
+		st, ok := w.b.Begin(w.now())
+		if !ok {
 			continue
 		}
-
-		budget := m.StepBudget()
-		p, d := 0, 0
-		for _, s := range w.running {
-			s.decodeScheduled = false
-			s.prefillChunk = 0
-			if s.prefillLeft == 0 && s.decodeLeft > 0 && d < budget {
-				s.decodeScheduled = true
-				d++
-			}
-		}
-		for _, s := range w.running {
-			if s.prefillLeft > 0 && p+d < budget {
-				chunk := min(s.prefillLeft, budget-p-d)
-				s.prefillChunk = chunk
-				p += chunk
-			}
-		}
-		kv := float64(w.kvUsed) / float64(cap)
-		tau := m.StepTime(p, d, kv)
-		w.stepHist.Observe(tau)
-		w.stepsVec.With(m.Name).Inc()
-		w.prefillCtr.Add(float64(p))
-		w.decodeCtr.Add(float64(d))
+		tau := st.Model.StepTime(st.Prefill, st.Decode, st.KV)
+		w.tel.ObserveStep(st.Model.Name, tau, st.Prefill, st.Decode)
 
 		w.mu.Unlock()
 		time.Sleep(time.Duration(tau / w.TimeScale * float64(time.Second)))
@@ -346,138 +250,66 @@ func (w *LLMWorker) loop() {
 		if w.stopped {
 			return
 		}
-		w.completeStep(m, time.Now())
+		w.b.Land(w.now())
+		w.kvGauge.Set(w.b.KVUsage())
 	}
 }
 
-// maybeSwitch applies the selector's decision at a step boundary: an
-// immediate switch when the running batch is empty, drain mode otherwise.
-func (w *LLMWorker) maybeSwitch() {
-	if w.Selector == nil {
-		return
-	}
-	head, ok := w.headArrival()
-	if !ok {
-		return
-	}
-	m := w.models.Models[w.model]
-	kv := float64(w.kvUsed) / float64(m.KVCapTokens)
-	queued := len(w.waiting) + len(w.running)
-	slack := w.SLO - time.Since(head).Seconds()*w.TimeScale
-	desired := w.Selector.SelectModel(queued, w.outTok, kv, slack)
-	if desired < 0 || desired >= w.models.Len() || desired == w.model {
-		w.draining = false
-		return
-	}
-	if len(w.running) == 0 {
-		w.model = desired
-		w.draining = false
-		w.switchCtr.Inc()
-		return
-	}
-	w.draining = true
+// genEvents receives the worker's Batcher events, under the worker's mutex.
+type genEvents LLMWorker
+
+// Reject answers a request whose footprint can never fit the serving
+// model's KV cache.
+func (ev *genEvents) Reject(s *llm.Seq, m llm.StepModel) {
+	r := s.Ref.(*genReq)
+	r.reject = fmt.Sprintf("request footprint %d tokens exceeds model %s KV capacity %d",
+		s.Prefill+s.Decode, m.Name, m.KVCapTokens)
+	close(r.tok)
 }
 
-// headArrival returns the oldest arrival across waiting and running.
-func (w *LLMWorker) headArrival() (time.Time, bool) {
-	var t time.Time
-	ok := false
-	if len(w.running) > 0 {
-		t, ok = w.running[0].arrival, true
-	}
-	if len(w.waiting) > 0 && (!ok || w.waiting[0].arrival.Before(t)) {
-		t, ok = w.waiting[0].arrival, true
-	}
-	return t, ok
-}
-
-// modeled converts a wall-clock duration to modeled seconds.
-func (w *LLMWorker) modeled(d time.Duration) float64 {
-	return d.Seconds() * w.TimeScale
-}
-
-// completeStep lands the step's scheduled tokens: prefill chunks enter the
-// KV cache (a finishing prefill emits the first token), decode tokens
-// advance their sequences, finished sequences release their reservations
-// and answer their handler.
-func (w *LLMWorker) completeStep(m llm.StepModel, end time.Time) {
-	cap := m.KVCapTokens
-	keep := w.running[:0]
-	for _, s := range w.running {
-		if s.prefillChunk > 0 {
-			w.kvUsed += s.prefillChunk
-			s.kvHeld += s.prefillChunk
-			s.prefillLeft -= s.prefillChunk
-			w.outTok -= s.prefillChunk
-			s.prefillChunk = 0
-			if s.prefillLeft == 0 {
-				s.decodeLeft--
-				s.kvHeld++
-				w.kvUsed++
-				w.outTok--
-				s.firstTokenAt = end
-				s.lastTokenAt = end
-				w.ttftHist.Observe(w.modeled(end.Sub(s.arrival)))
-				s.tok <- struct{}{}
-			}
-		} else if s.decodeScheduled {
-			s.decodeScheduled = false
-			s.decodeLeft--
-			s.kvHeld++
-			w.kvUsed++
-			w.outTok--
-			w.tbtHist.Observe(w.modeled(end.Sub(s.lastTokenAt)))
-			s.lastTokenAt = end
-			s.tok <- struct{}{}
-		}
-		if s.prefillLeft == 0 && s.decodeLeft == 0 {
-			w.kvUsed -= s.kvHeld
-			w.kvReserved -= s.reserve
-			w.finish(s, m, end)
-		} else {
-			keep = append(keep, s)
-		}
-	}
-	w.running = keep
-	w.kvGauge.Set(float64(w.kvUsed) / float64(cap))
-}
-
-// finish records one served request and releases its handler.
-func (w *LLMWorker) finish(s *genSeq, m llm.StepModel, end time.Time) {
-	lat := w.modeled(end.Sub(s.arrival))
-	ttft := w.modeled(s.firstTokenAt.Sub(s.arrival))
-	w.latHist.Observe(lat)
-	w.queriesCtr.Inc()
-	if w.SLO > 0 && lat > w.SLO {
-		w.violationsCtr.Inc()
+// Token observes the token's TTFT or TBT and streams it to the handler.
+func (ev *genEvents) Token(s *llm.Seq, first bool, at float64) {
+	if first {
+		ev.tel.TTFT.Observe(at - s.Arrival)
 	} else {
-		w.satAccCtr.Add(m.Accuracy)
+		ev.tel.TBT.Observe(at - s.LastTokenAt)
 	}
-	w.modelQueriesVec.With(m.Name).Inc()
+	s.Ref.(*genReq).tok <- struct{}{}
+}
+
+// Switch counts a serving-model switch.
+func (ev *genEvents) Switch(_, _ int, _ float64) { ev.tel.Switches.Inc() }
+
+// Finish records one served request and releases its handler.
+func (ev *genEvents) Finish(s *llm.Seq, m llm.StepModel, batch int, end float64) {
+	r := s.Ref.(*genReq)
+	lat := end - s.Arrival
+	met := ev.SLO <= 0 || lat <= ev.SLO
+	ev.tel.ObserveServed(m.Name, m.Accuracy, lat, !met, "")
 	qt := telemetry.QueryTrace{
-		ID: -1, Worker: w.Index,
-		Model: m.Name, Batch: len(w.running) + 1,
+		ID: -1, Worker: ev.Index,
+		Model: m.Name, Batch: batch,
 		LatencyMS:   lat * 1000,
-		DeadlineMet: w.SLO <= 0 || lat <= w.SLO,
-		TraceID:     s.traceID, Process: w.Name,
+		DeadlineMet: met,
+		TraceID:     r.traceID, Process: ev.Name,
 		Spans: []telemetry.Span{
-			{Stage: telemetry.StageBatchWait, Seconds: w.modeled(s.admitAt.Sub(s.arrival))},
-			{Stage: telemetry.StagePrefill, Seconds: w.modeled(s.firstTokenAt.Sub(s.admitAt))},
-			{Stage: telemetry.StageDecode, Seconds: w.modeled(end.Sub(s.firstTokenAt))},
+			{Stage: telemetry.StageBatchWait, Seconds: s.AdmitAt - s.Arrival},
+			{Stage: telemetry.StagePrefill, Seconds: s.FirstTokenAt - s.AdmitAt},
+			{Stage: telemetry.StageDecode, Seconds: end - s.FirstTokenAt},
 		},
 	}
-	w.Traces.Add(qt)
-	if w.TraceWriter != nil {
-		_ = w.TraceWriter.Write(qt)
+	ev.Traces.Add(qt)
+	if ev.TraceWriter != nil {
+		_ = ev.TraceWriter.Write(qt)
 	}
-	s.sum = GenSummary{
+	r.sum = GenSummary{
 		Model:   m.Name,
-		Prefill: s.prefill,
-		Decode:  s.decode,
-		TTFT:    ttft,
+		Prefill: s.Prefill,
+		Decode:  s.Decode,
+		TTFT:    s.FirstTokenAt - s.Arrival,
 		Latency: lat,
 	}
-	close(s.tok)
+	close(r.tok)
 }
 
 // GenResult is the client-side view of one /generate stream: wall-clock

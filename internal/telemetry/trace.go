@@ -30,7 +30,7 @@ type QueryTrace struct {
 	Arrival     float64 `json:"arrival"` // modeled seconds from start
 	Worker      int     `json:"worker"`  // worker the batch ran on (-1 if none)
 	Model       string  `json:"model"`
-	Batch       int     `json:"batch"`
+	Batch       int     `json:"batch"`     // answering batch size; LLM: sequences in the query's last step
 	LatencyMS   float64 `json:"latencyMs"` // end-to-end, modeled
 	DeadlineMet bool    `json:"deadlineMet"`
 	Error       string  `json:"error,omitempty"`
