@@ -84,16 +84,17 @@ verify: build lint test race bench-module
 
 # Perf measurement over the hot paths: the MDP solve (slice vs compiled
 # CSR kernels), the adaptation re-solve matrix (Jacobi vs prioritized x
-# cold/warm x 1x/10x state space), MDP compilation, per-decision policy
-# lookup, balancer pick, raw simulator throughput, and the end-to-end
+# cold/warm x 1x/10x state space), MDP compilation, whole cold policy
+# generation (image-live and K=60 workers, with build/solve/expectations
+# phase times as custom metrics), per-decision policy lookup, balancer pick, raw simulator throughput, and the end-to-end
 # data-plane tier (frontend and sharded-gateway query paths over a live
 # loopback cluster, allocation-gated). -count=3 repetitions with
 # allocation stats; raw output lands in bench.out and tools/benchjson
 # distills it into $(BENCH_OUT), the committed baseline (quote
 # best_ns_per_op when comparing).
-BENCH_KEY := 'BenchmarkValueIteration|BenchmarkResolve|BenchmarkCompile$$|BenchmarkPolicySelect|BenchmarkBalancerPick|BenchmarkSimulatorThroughput|BenchmarkLLMStepLoop|BenchmarkFrontendQuery|BenchmarkShardedGatewayQuery'
-BENCH_OUT ?= BENCH_10.json
-BENCH_BASE ?= BENCH_10.json
+BENCH_KEY := 'BenchmarkValueIteration|BenchmarkResolve|BenchmarkCompile$$|BenchmarkPolicyGeneration|BenchmarkPolicySelect|BenchmarkBalancerPick|BenchmarkSimulatorThroughput|BenchmarkLLMStepLoop|BenchmarkFrontendQuery|BenchmarkShardedGatewayQuery'
+BENCH_OUT ?= BENCH_13.json
+BENCH_BASE ?= BENCH_13.json
 
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_KEY) -benchmem -count=3 . | tee bench.out

@@ -11,6 +11,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
@@ -102,13 +103,44 @@ func genCfg() core.Config {
 	}
 }
 
-// BenchmarkPolicyGeneration measures one full offline policy generation
-// (transition build + value iteration + expectations).
+// BenchmarkPolicyGeneration measures one full cold offline policy
+// generation (transition build + value iteration + expectations) on the
+// live image plane's worker (4 workers, D=100, 120 QPS: 3234 states) and
+// on the K=60 genCfg worker, reporting each phase's mean time per op:
+// build_ms (Policy.BuildTime), solve_ms (Policy.SolveTime, compile
+// included) and expect_ms (the rest: choices and §5.1 expectations).
 func BenchmarkPolicyGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Generate(genCfg()); err != nil {
-			b.Fatal(err)
-		}
+	live := core.Config{
+		Models:  profile.ImageSet(),
+		SLO:     0.150,
+		Workers: 4,
+		Arrival: dist.NewPoisson(120),
+		D:       100,
+	}
+	for _, bc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"image-live-120qps", live},
+		{"k60", genCfg()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var build, solve, total time.Duration
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				pol, err := core.Generate(bc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				total += time.Since(start)
+				build += pol.BuildTime
+				solve += pol.SolveTime
+			}
+			perOp := func(d time.Duration) float64 { return float64(d) / 1e6 / float64(b.N) }
+			b.ReportMetric(perOp(build), "build_ms")
+			b.ReportMetric(perOp(solve), "solve_ms")
+			b.ReportMetric(perOp(total-build-solve), "expect_ms")
+		})
 	}
 }
 

@@ -310,9 +310,8 @@ func main() {
 		shardBy     = flag.String("shard-by", "hash", "shard routing policy: hash/rendezvous (pin tenant to shard) or p2c (spread by queue depth)")
 
 		maxQueue   = flag.Int("maxqueue", 0, "queue-length bound N_w (0 = default 32): caps the RAMSIS MDP state space, and with -admit cap also sets the online admission bound (workers x N_w outstanding) — one knob for both, since policy guarantees lapse past N_w anyway")
-		solverArg  = flag.String("solver", "vi", "RAMSIS MDP solver: vi (value iteration, the paper's default), pi (policy iteration), or prioritized (fast-resolve: residual-ordered Gauss-Seidel sweeps; same policy, far fewer sweeps — adaptive background re-solves use it regardless)")
+		solverArg  = flag.String("solver", "vi", "RAMSIS MDP solver: vi (value iteration, the paper's default, warm-started from prioritized sweeps), pi (policy iteration), or prioritized (fast-resolve: residual-ordered Gauss-Seidel sweeps; same policy, far fewer sweeps — adaptive background re-solves use it regardless)")
 		solveF32   = flag.Bool("solve-f32", false, "run the RAMSIS solve kernels in float32 (faster; the policy matches float64 wherever actions are separated by more than a few ULPs of the value scale)")
-		aggQueue   = flag.Int("agg-queue", 0, "queue-axis aggregation factor (>1): warm-start each solve from a queue-coarsened aggregate of the MDP; the policy is unchanged, only the solve converges faster — pair with a large -maxqueue")
 		llmProfile = flag.String("llm-profile", "", "LLM workload: load a kinded step-model JSON (llm.SaveFile) instead of the built-in chat corpus")
 		llmClass   = flag.String("llm-class", "general", "LLM workload class: general, codegen, or reasoning")
 		llmKVCap   = flag.Int("llm-kv-cap", 0, "override every step model's KV-cache capacity in tokens (0 = profile values)")
@@ -374,7 +373,7 @@ func main() {
 	base := core.Config{
 		Models: models, SLO: slo, Workers: *workers, Arrival: dist.NewPoisson(1), D: *d,
 		MaxQueue: *maxQueue, Balancing: balancing,
-		Solver: solver, Float32: *solveF32, AggQueue: *aggQueue,
+		Solver: solver, Float32: *solveF32,
 	}
 	set := core.NewPolicySet(base, nil)
 	if err := set.GenerateLoads([]float64{*load}); err != nil {

@@ -212,9 +212,8 @@ func main() {
 		seed      = flag.Int64("seed", 1, "workload seed")
 		d         = flag.Int("d", 100, "FLD resolution for RAMSIS policies")
 		maxQueue  = flag.Int("maxqueue", 0, "queue-length bound N_w (0 = default 32): caps the RAMSIS MDP state space, and with -admit cap also sets the online admission bound (workers x N_w outstanding) — one knob for both, since policy guarantees lapse past N_w anyway")
-		solverArg = flag.String("solver", "vi", "RAMSIS MDP solver: vi (value iteration, the paper's default), pi (policy iteration), or prioritized (fast-resolve: residual-ordered Gauss-Seidel sweeps; same policy, far fewer sweeps)")
+		solverArg = flag.String("solver", "vi", "RAMSIS MDP solver: vi (value iteration, the paper's default, warm-started from prioritized sweeps), pi (policy iteration), or prioritized (fast-resolve: residual-ordered Gauss-Seidel sweeps; same policy, far fewer sweeps)")
 		solveF32  = flag.Bool("solve-f32", false, "run the RAMSIS solve kernels in float32 (faster; the policy matches float64 wherever actions are separated by more than a few ULPs of the value scale)")
-		aggQueue  = flag.Int("agg-queue", 0, "queue-axis aggregation factor (>1): warm-start each solve from a queue-coarsened aggregate of the MDP; the policy is unchanged, only the solve converges faster — pair with a large -maxqueue")
 		noise     = flag.Float64("noise", 0, "inference latency stddev in ms (0 = deterministic p95)")
 		polPath   = flag.String("policy", "", "load a saved RAMSIS policy JSON (from ramsisgen) instead of generating")
 		msTable   = flag.String("ms-table", "", "load a ModelSwitching profile JSON (from msgen) instead of profiling")
@@ -329,7 +328,7 @@ func main() {
 	switch *method {
 	case "RAMSIS":
 		base := core.Config{Models: models, SLO: slo, Workers: *workers, Arrival: dist.NewPoisson(1), D: *d, MaxQueue: *maxQueue, Balancing: balancing,
-			Solver: solver, Float32: *solveF32, AggQueue: *aggQueue}
+			Solver: solver, Float32: *solveF32}
 		if *adaptive {
 			// Adaptive mode: one policy solved for the starting rate; every
 			// later rate is the drift detector's job.

@@ -94,12 +94,4 @@ func TestConfigHashIgnoresArrivalOnly(t *testing.T) {
 			t.Errorf("hash ignored %s change", name)
 		}
 	}
-
-	// AggQueue is a pure accelerator — the fixed point and therefore the
-	// policy are unchanged — so aggregated and plain solves share a hash.
-	agg := base
-	agg.AggQueue = 8
-	if ConfigHash(agg) != h {
-		t.Error("hash changed with AggQueue; aggregation cannot move the fixed point")
-	}
 }

@@ -105,7 +105,11 @@ func ParseBalancing(s string) (Balancing, error) {
 type Solver int
 
 const (
-	// SolveValueIteration is the paper's default method.
+	// SolveValueIteration is the paper's default method. Without a donor
+	// vector (Config.InitialValues) and in float64, it runs the prioritized
+	// solve from zeros first and seeds the byte-pinned Jacobi kernel with
+	// its values; Jacobi's own stopping rule and greedy sweep still decide
+	// the policy.
 	SolveValueIteration Solver = iota
 	// SolvePolicyIteration is the alternative exact method §4.1 notes.
 	SolvePolicyIteration
@@ -172,22 +176,15 @@ type Config struct {
 	// Gamma is the value-iteration discount factor; default 0.99.
 	Gamma float64
 	// Solver selects the exact solution method (§4.1: value iteration by
-	// default; policy iteration as the noted alternative; prioritized as
-	// the fast-resolve path for online re-solves).
+	// default, warm-started from prioritized sweeps; policy iteration as
+	// the noted alternative; prioritized alone as the fast-resolve path for
+	// online re-solves).
 	Solver Solver
 	// Float32 runs the value-iteration-family solve kernels in float32.
 	// The stopping tolerance is floored at a few float32 ULPs of the value
 	// scale, so the policy matches the float64 argmaxes wherever actions
 	// are separated by more than that band. Ignored by policy iteration.
 	Float32 bool
-	// AggQueue, when > 1, warm-starts the solve from a queue-coarsened
-	// aggregate problem: the queue axis is grouped by this factor, the
-	// small aggregate MDP is solved first, and its values are linearly
-	// disaggregated onto the full space as the solver's initial vector.
-	// The fixed point — and therefore the generated policy — is unchanged;
-	// only the iteration count to reach it drops. Ignored when
-	// Config.InitialValues already supplies a donor vector.
-	AggQueue int
 	// ProbFloor prunes transition entries below it (their mass folds into
 	// the overflow complement, which is conservative); default 1e-10.
 	ProbFloor float64
@@ -254,9 +251,6 @@ func (c Config) Validate() error {
 	}
 	if c.Gamma < 0 || c.Gamma >= 1 {
 		return fmt.Errorf("core: discount %v outside [0,1)", c.Gamma)
-	}
-	if c.AggQueue < 0 {
-		return fmt.Errorf("core: invalid queue aggregation factor %d", c.AggQueue)
 	}
 	return nil
 }

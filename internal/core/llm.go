@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -136,6 +135,8 @@ type LLMPolicy struct {
 	ExpectedAccuracy  float64 `json:"expectedAccuracy"`
 	ExpectedViolation float64 `json:"expectedViolation"`
 
+	// Stats describe the generation run; Iterations counts solver sweeps
+	// as in Policy.Iterations.
 	States      int           `json:"states"`
 	Transitions int           `json:"transitions"`
 	Iterations  int           `json:"iterations"`
@@ -348,20 +349,54 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	start := time.Now()
+	lm, err := buildLLM(cfg)
+	if err != nil {
+		return nil, err
+	}
+	buildTime := time.Since(start)
+
+	start = time.Now()
+	cm := mdp.Compile(lm.m)
+	opts := mdp.SolveOptions{Gamma: cfg.Gamma, Float32: cfg.Float32}
+	if cfg.Timeout > 0 {
+		opts.Deadline = time.Now().Add(cfg.Timeout)
+	}
+	res, err := solve(cm, cfg.Solver, opts)
+	if err != nil {
+		return nil, err
+	}
+	solveTime := time.Since(start)
+
+	pol := lm.policy(cfg, cm, res)
+	pol.BuildTime, pol.SolveTime = buildTime, solveTime
+	return pol, nil
+}
+
+// llmPlan is the engine step one token-MDP action schedules.
+type llmPlan struct {
+	p, d      int
+	tau, rate float64
+	sat       bool
+}
+
+// llmMDP is a built token MDP with the step plan behind every action.
+type llmMDP struct {
+	g     *llmBuilder
+	m     *mdp.MDP
+	plans [][]llmPlan
+}
+
+// buildLLM formulates the token MDP of a defaulted, validated config.
+func buildLLM(cfg LLMConfig) (*llmMDP, error) {
 	g := newLLMBuilder(cfg)
 	if g.models.Len() == 0 {
 		return nil, fmt.Errorf("core: no step models survive Pareto pruning")
 	}
 
-	start := time.Now()
 	nStates := g.b + 2
 	m := &mdp.MDP{Actions: make([][]mdp.Action, nStates)}
-	type plan struct {
-		p, d      int
-		tau, rate float64
-		sat       bool
-	}
-	plans := make([][]plan, nStates)
+	plans := make([][]llmPlan, nStates)
 	// Empty worker: wait for the next arrival, which brings one query's
 	// In+Out tokens (the one-arrival convolution from zero load).
 	m.Actions[0] = []mdp.Action{{
@@ -372,7 +407,7 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 	for s := 1; s < nStates; s++ {
 		rep := (float64(s) - 0.5) * float64(g.w)
 		acts := make([]mdp.Action, 0, g.models.Len())
-		pls := make([]plan, 0, g.models.Len())
+		pls := make([]llmPlan, 0, g.models.Len())
 		for mi, model := range g.models.Models {
 			p, d, kv := g.stepPlan(model, rep)
 			tau := model.StepTime(p, d, kv)
@@ -390,40 +425,21 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 				Reward:      reward,
 				Transitions: g.transitions(base, tau),
 			})
-			pls = append(pls, plan{p: p, d: d, tau: tau, rate: rate, sat: sat})
+			pls = append(pls, llmPlan{p: p, d: d, tau: tau, rate: rate, sat: sat})
 		}
 		m.Actions[s] = acts
 		plans[s] = pls
 	}
-	buildTime := time.Since(start)
 	if err := m.Validate(1e-6); err != nil {
 		return nil, fmt.Errorf("core: built LLM MDP invalid: %w", err)
 	}
+	return &llmMDP{g: g, m: m, plans: plans}, nil
+}
 
-	start = time.Now()
-	cm := mdp.Compile(m)
-	opts := mdp.SolveOptions{Gamma: cfg.Gamma, Float32: cfg.Float32}
-	if cfg.Timeout > 0 {
-		opts.Deadline = time.Now().Add(cfg.Timeout)
-	}
-	if cfg.Solver == SolvePrioritized {
-		opts.Method = mdp.MethodPrioritized
-	}
-	var res mdp.Result
-	var err error
-	if cfg.Solver == SolvePolicyIteration {
-		res, err = cm.PolicyIteration(opts)
-	} else {
-		res, err = cm.Solve(opts)
-	}
-	if errors.Is(err, mdp.ErrDeadline) {
-		return nil, ErrTimeout
-	}
-	if err != nil {
-		return nil, err
-	}
-	solveTime := time.Since(start)
-
+// policy assembles the token policy a solve of the compiled MDP induces:
+// the step plan in every state and the stationary expectations.
+func (lm *llmMDP) policy(cfg LLMConfig, cm *mdp.Compiled, res mdp.Result) *LLMPolicy {
+	g := lm.g
 	pol := &LLMPolicy{
 		Task:        g.models.Task,
 		SLO:         cfg.SLO,
@@ -432,19 +448,17 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 		TokenBucket: g.w,
 		MaxTokens:   cfg.MaxTokens,
 		Pruned:      !cfg.NoParetoPruning,
-		States:      m.NumStates(),
-		Transitions: m.NumTransitions(),
+		States:      cm.NumStates(),
+		Transitions: cm.NumTransitions(),
 		Iterations:  res.Iterations,
-		BuildTime:   buildTime,
-		SolveTime:   solveTime,
 		models:      g.models,
 	}
-	pol.Choices = make([]LLMChoice, nStates)
+	pol.Choices = make([]LLMChoice, cm.NumStates())
 	pol.Choices[0] = LLMChoice{Arrival: true, Satisfies: true}
-	for s := 1; s < nStates; s++ {
+	for s := 1; s < len(pol.Choices); s++ {
 		ai := res.Policy[s]
-		mi := m.Actions[s][ai].Label
-		pl := plans[s][ai]
+		mi := lm.m.Actions[s][ai].Label
+		pl := lm.plans[s][ai]
 		pol.Choices[s] = LLMChoice{
 			Model:         g.models.Models[mi].Name,
 			ModelIdx:      mi,
@@ -456,7 +470,7 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 		}
 	}
 	pol.computeExpectations(cm, res.Policy)
-	return pol, nil
+	return pol
 }
 
 // arrivalTransitions is the empty-state successor distribution: exactly one

@@ -63,7 +63,9 @@ type Policy struct {
 	// §5.1's summary statistics (median, 99th percentile, ...) derive.
 	AccuracyDist map[string]float64 `json:"accuracyDist,omitempty"`
 
-	// Stats describe the generation run.
+	// Stats describe the generation run. Iterations counts solver sweeps;
+	// for default value iteration it is the prioritized pre-solve's
+	// sweep-equivalents plus the Jacobi sweeps seeded from it.
 	States      int           `json:"states"`
 	Transitions int           `json:"transitions"`
 	Iterations  int           `json:"iterations"`
@@ -91,15 +93,22 @@ func BuildWorkerMDP(cfg Config) (*mdp.MDP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	_, m, err := buildWorker(cfg)
+	return m, err
+}
+
+// buildWorker formulates the worker MDP of a defaulted, validated config,
+// returning the builder that holds its state space and deadline.
+func buildWorker(cfg Config) (*builder, *mdp.MDP, error) {
 	b := newBuilder(newSpace(cfg))
 	m := b.buildMDP()
 	if b.aborted.Load() {
-		return nil, ErrTimeout
+		return nil, nil, ErrTimeout
 	}
 	if err := m.Validate(1e-6); err != nil {
-		return nil, fmt.Errorf("core: built MDP invalid: %w", err)
+		return nil, nil, fmt.Errorf("core: built MDP invalid: %w", err)
 	}
-	return m, nil
+	return b, m, nil
 }
 
 // Generate runs RAMSIS's offline phase for one worker: it formulates the
@@ -110,50 +119,38 @@ func Generate(cfg Config) (*Policy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sp := newSpace(cfg)
-	b := newBuilder(sp)
-
 	start := time.Now()
-	m := b.buildMDP()
+	b, m, err := buildWorker(cfg)
+	if err != nil {
+		return nil, err
+	}
 	buildTime := time.Since(start)
-	if b.aborted.Load() {
-		return nil, ErrTimeout
-	}
-	if err := m.Validate(1e-6); err != nil {
-		return nil, fmt.Errorf("core: built MDP invalid: %w", err)
-	}
 
 	// Compile once; the solve and the stationary-distribution pass both run
 	// on the contiguous form.
 	start = time.Now()
 	cm := mdp.Compile(m)
 	opts := mdp.SolveOptions{Gamma: cfg.Gamma, Deadline: b.deadline, Float32: cfg.Float32}
-	if cfg.Solver == SolvePrioritized {
-		opts.Method = mdp.MethodPrioritized
-	}
 	if len(cfg.InitialValues) == cm.NumStates() {
 		opts.InitialValues = cfg.InitialValues
-	} else if cfg.AggQueue > 1 {
-		// No donor vector: warm-start from the queue-coarsened aggregate
-		// solve. The warm start cannot change the fixed point, so the
-		// generated policy is identical to a cold solve's.
-		opts.InitialValues = aggregateWarmStart(m, sp, cfg.AggQueue, opts)
 	}
-	var res mdp.Result
-	var err error
-	if cfg.Solver == SolvePolicyIteration {
-		res, err = cm.PolicyIteration(opts)
-	} else {
-		res, err = cm.Solve(opts)
-	}
-	if errors.Is(err, mdp.ErrDeadline) {
-		return nil, ErrTimeout
-	}
+	res, err := solve(cm, cfg.Solver, opts)
 	if err != nil {
 		return nil, err
 	}
 	solveTime := time.Since(start)
 
+	pol, err := newPolicy(cfg, b.sp, cm, res)
+	if err != nil {
+		return nil, err
+	}
+	pol.BuildTime, pol.SolveTime = buildTime, solveTime
+	return pol, nil
+}
+
+// newPolicy assembles the policy a solve of the compiled worker MDP
+// induces: the decision in every state and the §5.1 expectations.
+func newPolicy(cfg Config, sp *space, cm *mdp.Compiled, res mdp.Result) (*Policy, error) {
 	pol := &Policy{
 		Task:        cfg.Models.Task,
 		SLO:         cfg.SLO,
@@ -166,16 +163,14 @@ func Generate(cfg Config) (*Policy, error) {
 		Balancing:   cfg.Balancing,
 		Pruned:      !cfg.NoParetoPruning,
 		Grid:        sp.grid,
-		States:      m.NumStates(),
-		Transitions: m.NumTransitions(),
+		States:      cm.NumStates(),
+		Transitions: cm.NumTransitions(),
 		Iterations:  res.Iterations,
-		BuildTime:   buildTime,
-		SolveTime:   solveTime,
 		space:       sp,
 		values:      res.Values,
 	}
-	pol.Choices = make([]Choice, m.NumStates())
-	for s := range m.Actions {
+	pol.Choices = make([]Choice, cm.NumStates())
+	for s := range pol.Choices {
 		acts := sp.actionsForState(s)
 		a := acts[res.Policy[s]]
 		if a.Model == arrivalAction {
@@ -194,6 +189,43 @@ func Generate(cfg Config) (*Policy, error) {
 		return nil, err
 	}
 	return pol, nil
+}
+
+// solve runs the solver method on the compiled MDP, mapping a missed
+// deadline to ErrTimeout. Default value iteration (float64, no donor
+// vector) is warm-started: a prioritized solve from zeros lands within Tol
+// of the fixed point in a few dozen sweep-equivalents, and its values seed
+// the byte-pinned Jacobi kernel, which still applies its own stopping rule
+// and picks the policy — typically after a single sweep instead of the
+// ~2000 a cold start needs at γ = 0.99. Iterations counts both solves.
+func solve(cm *mdp.Compiled, solver Solver, opts mdp.SolveOptions) (mdp.Result, error) {
+	var res mdp.Result
+	var err error
+	switch solver {
+	case SolvePolicyIteration:
+		res, err = cm.PolicyIteration(opts)
+	case SolvePrioritized:
+		opts.Method = mdp.MethodPrioritized
+		res, err = cm.Solve(opts)
+	default:
+		presolve := 0
+		if !opts.Float32 && opts.InitialValues == nil {
+			seed := opts
+			seed.Method = mdp.MethodPrioritized
+			var pre mdp.Result
+			if pre, err = cm.Solve(seed); err != nil {
+				break
+			}
+			opts.InitialValues = pre.Values
+			presolve = pre.Iterations
+		}
+		res, err = cm.Solve(opts)
+		res.Iterations += presolve
+	}
+	if errors.Is(err, mdp.ErrDeadline) {
+		return mdp.Result{}, ErrTimeout
+	}
+	return res, err
 }
 
 // computeExpectations evaluates the §5.1 guarantees: the stationary

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,7 +62,7 @@ type builder struct {
 	// (round-robin uses one process; queue-aware balancers use one per
 	// queue-length regime) and action latency.
 	fk  map[float64][][]float64  // rate -> [cell][k-1] k-th-arrival pdf
-	h   map[tableKey][]float64   // (rate, latency) -> [cell*N_w + j-1]
+	h   map[tableKey]*hTable     // (rate, latency) -> rows per cell
 	cdf map[tableKey][]float64   // (rate, latency) -> CDF table over counts
 	sqf map[float64]dist.Process // SQF rate -> process
 }
@@ -76,7 +78,7 @@ func newBuilder(sp *space) *builder {
 		sp:    sp,
 		cells: cfg.FineCells,
 		fk:    make(map[float64][][]float64),
-		h:     make(map[tableKey][]float64),
+		h:     make(map[tableKey]*hTable),
 		cdf:   make(map[tableKey][]float64),
 		sqf:   make(map[float64]dist.Process),
 	}
@@ -188,35 +190,94 @@ func (b *builder) prepare() {
 	})
 }
 
+// hTable holds one latency's H rows sparsely: row g covers queue lengths
+// j = lo[g]+1 .. lo[g]+n with its n values in vals[off[g]:off[g+1]], and is
+// zero outside that range. Poisson rows are zero beyond their pmf window,
+// which trims most of a table and keeps the tables of a large build from
+// dominating its peak heap.
+type hTable struct {
+	lo   []int32
+	off  []int32
+	vals []float64
+}
+
+// row returns the first queue-length bin (j − 1) of row g and its values.
+func (h *hTable) row(g int) (int, []float64) {
+	return int(h.lo[g]), h.vals[h.off[g]:h.off[g+1]]
+}
+
 // buildHTable tabulates, for each fine cell g with midpoint t_g < l, the
 // probability that the remaining window (t_g, l] sees j−1 further worker
-// arrivals: P[N(l − t_g) ∈ [(j−1)K, jK−1]] for j = 1..N_w, flattened as
-// [g·N_w + (j−1)].
-func (b *builder) buildHTable(proc dist.Process, k int, l float64) []float64 {
+// arrivals: P[N(l − t_g) ∈ [(j−1)K, jK−1]] for j = 1..N_w. Poisson rows bin
+// the pmf window of dist.PoissonPMFWindow; other processes difference
+// their exact CDF over every j.
+func (b *builder) buildHTable(proc dist.Process, k int, l float64) *hTable {
 	nw := b.sp.cfg.MaxQueue
 	gmax := b.cellsFor(l)
-	out := make([]float64, gmax*nw)
+	h := &hTable{lo: make([]int32, gmax), off: make([]int32, gmax+1)}
+	pois, isPoisson := proc.(dist.Poisson)
+	// Rows accumulate in dense-size scratch, then move into an exact-size
+	// table, so only the trimmed rows outlive the call.
+	vals := make([]float64, 0, gmax*nw)
+	var buf []float64
 	for g := 0; g < gmax; g++ {
 		x := l - (float64(g)+0.5)*b.delta
 		if x < 0 {
 			x = 0
 		}
-		prev := 0.0 // CDF((j-1)K - 1, x), starting at CDF(-1) = 0
-		for j := 1; j <= nw; j++ {
-			cur := proc.CDF(j*k-1, x)
-			out[g*nw+j-1] = cur - prev
-			prev = cur
+		if isPoisson {
+			lo, pmf := dist.PoissonPMFWindow(pois.Lambda*x, nw*k-1, buf)
+			buf = pmf
+			h.lo[g] = int32(lo / k)
+			vals = binCounts(vals, k, lo, pmf)
+		} else {
+			prev := 0.0 // CDF((j-1)K - 1, x), starting at CDF(-1) = 0
+			for j := 1; j <= nw; j++ {
+				cur := proc.CDF(j*k-1, x)
+				vals = append(vals, cur-prev)
+				prev = cur
+			}
 		}
+		h.off[g+1] = int32(len(vals))
 	}
-	return out
+	h.vals = slices.Clone(vals)
+	return h
+}
+
+// binCounts appends the sums of a pmf window over counts [lo, lo+len(pmf))
+// in bins of k consecutive counts (bin j holds counts [jK, (j+1)K)),
+// starting from the bin that holds lo.
+func binCounts(dst []float64, k, lo int, pmf []float64) []float64 {
+	c, end := lo, lo+len(pmf)
+	for j := lo / k; c < end; j++ {
+		stop := min((j+1)*k, end)
+		s := 0.0
+		for ; c < stop; c++ {
+			s += pmf[c-lo]
+		}
+		dst = append(dst, s)
+	}
+	return dst
 }
 
 // buildCDFTable tabulates proc.CDF(k, l) for counts k = 0..(N_w+2)·K−1,
-// shared by the no-arrival case and variable-batching count sums.
+// shared by the no-arrival case and variable-batching count sums. Poisson
+// tables are running sums of one pmf window.
 func (b *builder) buildCDFTable(proc dist.Process, l float64) []float64 {
 	_, k := b.procForRate(proc)
 	kmax := (b.sp.cfg.MaxQueue + 2) * k
 	out := make([]float64, kmax)
+	if pois, ok := proc.(dist.Poisson); ok {
+		lo, pmf := dist.PoissonPMFWindow(pois.Lambda*l, kmax-1, nil)
+		cum := 0.0
+		for i := lo; i < kmax; i++ {
+			if i-lo < len(pmf) {
+				cum += pmf[i-lo]
+			}
+			out[i] = cum
+		}
+		return out
+	}
 	for i := 0; i < kmax; i++ {
 		out[i] = proc.CDF(i, l)
 	}
@@ -351,29 +412,40 @@ func (sc *stateScratch) emit(overflow int32, floor float64) []mdp.Transition {
 	if rem := 1 - total; rem > 0 {
 		sc.add(overflow, rem)
 	}
-	kept := 0.0
-	out := make([]mdp.Transition, 0, len(sc.dirty))
+	// Count the kept entries first so the row is allocated at its final
+	// size: pruning typically drops most of the dirty entries, and the
+	// row stays live in the slice-form MDP.
+	kept, size, hasOverflow := 0.0, 0, false
 	for _, s := range sc.dirty {
-		p := sc.probs[s]
-		if p >= floor || s == overflow {
-			out = append(out, mdp.Transition{Next: s, P: p})
+		if p := sc.probs[s]; p >= floor || s == overflow {
 			kept += p
+			size++
+			hasOverflow = hasOverflow || s == overflow
+		}
+	}
+	if kept < 1 && !hasOverflow {
+		size++
+	}
+	out := make([]mdp.Transition, 0, size)
+	for _, s := range sc.dirty {
+		if p := sc.probs[s]; p >= floor || s == overflow {
+			out = append(out, mdp.Transition{Next: s, P: p})
 		}
 	}
 	// Fold pruned mass into overflow (conservative) and renormalize.
 	if kept < 1 {
-		for i := range out {
-			if out[i].Next == overflow {
-				out[i].P += 1 - kept
-				kept = 1
-				break
+		if hasOverflow {
+			for i := range out {
+				if out[i].Next == overflow {
+					out[i].P += 1 - kept
+					break
+				}
 			}
-		}
-		if kept < 1 {
+		} else {
 			out = append(out, mdp.Transition{Next: overflow, P: 1 - kept})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Next < out[j].Next })
+	slices.SortFunc(out, func(a, b mdp.Transition) int { return cmp.Compare(a.Next, b.Next) })
 	// Reset scratch.
 	for _, s := range sc.dirty {
 		sc.probs[s] = 0
@@ -382,9 +454,18 @@ func (sc *stateScratch) emit(overflow int32, floor float64) []mdp.Transition {
 	return out
 }
 
-// buildMDP assembles the full sparse MDP.
+// buildMDP assembles the full sparse MDP. The probability tables are dead
+// once every row is assembled; dropping them keeps them from staying live
+// through the solve of a caller that still holds the builder.
 func (b *builder) buildMDP() *mdp.MDP {
 	b.prepare()
+	m := b.assemble()
+	b.fk, b.h, b.cdf = nil, nil, nil
+	return m
+}
+
+// assemble builds every state's action rows from the prepared tables.
+func (b *builder) assemble() *mdp.MDP {
 	sp := b.sp
 	m := &mdp.MDP{Actions: make([][]mdp.Action, sp.numStates())}
 	parallelForScratch(sp.numStates(), func() *stateScratch { return newScratch(sp.numStates()) },
@@ -455,9 +536,8 @@ func (b *builder) actionTransitions(s int, a actionSpec, sc *stateScratch, pr, f
 // fullDrainTransitions handles b == n (maximal batching, and the b = n case
 // of variable batching): the queue empties at the decision, so the next
 // state is determined entirely by arrivals during the service time l.
-func (b *builder) fullDrainTransitions(sc *stateScratch, a actionSpec, pr, ft []float64, cdfT, hT []float64, k int) {
+func (b *builder) fullDrainTransitions(sc *stateScratch, a actionSpec, pr, ft, cdfT []float64, hT *hTable, k int) {
 	sp := b.sp
-	nw := sp.cfg.MaxQueue
 	l := a.Latency
 
 	// No worker arrival during service: next state is the empty queue.
@@ -485,11 +565,10 @@ func (b *builder) fullDrainTransitions(sc *stateScratch, a actionSpec, pr, ft []
 		slack := sp.cfg.SLO - l + tg
 		c := sp.bucketOf(slack)
 		mass := f * width
-		base := g * nw
-		for j := 1; j <= nw; j++ {
-			p := mass * hT[base+j-1]
-			if p > 0 {
-				sc.add(int32(sp.index(j, c)), p)
+		j0, row := hT.row(g)
+		for i, h := range row {
+			if p := mass * h; p > 0 {
+				sc.add(int32(sp.index(j0+i+1, c)), p)
 			}
 		}
 		// j > N_w falls to the overflow complement in emit().

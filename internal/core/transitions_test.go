@@ -344,3 +344,120 @@ func TestTransitionsConcentrateNearExpectedArrivals(t *testing.T) {
 		t.Errorf("mean next queue %v, want ~%v (λ·l/K)", mean, meanArrivals)
 	}
 }
+
+// definitionTables recomputes a prepared builder's H and CDF tables from
+// their definitions, one dist.PoissonCDF evaluation per entry; H rows are
+// dense.
+func definitionTables(b *builder) (h map[tableKey]*hTable, cdf map[tableKey][]float64) {
+	nw := b.sp.cfg.MaxQueue
+	h = make(map[tableKey]*hTable, len(b.h))
+	cdf = make(map[tableKey][]float64, len(b.cdf))
+	for key := range b.h {
+		_, k := b.procForRate(dist.NewPoisson(key.rate))
+		gmax := b.cellsFor(key.lat)
+		ht := &hTable{lo: make([]int32, gmax), off: make([]int32, gmax+1)}
+		for g := 0; g < gmax; g++ {
+			mu := key.rate * math.Max(0, key.lat-(float64(g)+0.5)*b.delta)
+			for j := 1; j <= nw; j++ {
+				ht.vals = append(ht.vals, dist.PoissonCDF(j*k-1, mu)-dist.PoissonCDF((j-1)*k-1, mu))
+			}
+			ht.off[g+1] = int32(len(ht.vals))
+		}
+		h[key] = ht
+		ct := make([]float64, (nw+2)*k)
+		for i := range ct {
+			ct[i] = dist.PoissonCDF(i, key.rate*key.lat)
+		}
+		cdf[key] = ct
+	}
+	return h, cdf
+}
+
+// denseH expands an H table to its [g·N_w + (j−1)] layout.
+func denseH(h *hTable, nw int) []float64 {
+	out := make([]float64, len(h.lo)*nw)
+	for g := range h.lo {
+		j0, row := h.row(g)
+		copy(out[g*nw+j0:], row)
+	}
+	return out
+}
+
+// maxAbsDiff returns max |a[i] − b[i]|, or +Inf when the lengths differ.
+func maxAbsDiff(a, b []float64) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	worst := 0.0
+	for i := range a {
+		worst = math.Max(worst, math.Abs(a[i]-b[i]))
+	}
+	return worst
+}
+
+// The Poisson H and CDF tables are built by pmf recurrence; they must match
+// the by-definition incomplete-gamma tables within 1e-12, and the MDP
+// assembled from them must keep exactly the successors the by-definition
+// tables keep, with every probability within 1e-12. The one allowed
+// difference is the overflow entry emit adds for the residual 1 − Σp: when
+// that residual is rounding noise it may be present in one row and absent
+// in the other, and it then counts as a probability difference.
+func TestPoissonTablesMatchDefinition(t *testing.T) {
+	sqf := genConfig(300)
+	sqf.Balancing = ShortestQueueFirst
+	for name, cfg := range map[string]Config{
+		"small":  smallConfig(),
+		"gen300": genConfig(300).withDefaults(),
+		"sqf":    sqf.withDefaults(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			sp := newSpace(cfg)
+			fast := newBuilder(sp)
+			fast.prepare()
+			ref := newBuilder(sp)
+			ref.prepare()
+			ref.h, ref.cdf = definitionTables(ref)
+			worstH, worstCDF := 0.0, 0.0
+			for key, want := range ref.h {
+				worstH = math.Max(worstH, maxAbsDiff(denseH(fast.h[key], cfg.MaxQueue), denseH(want, cfg.MaxQueue)))
+				worstCDF = math.Max(worstCDF, maxAbsDiff(fast.cdf[key], ref.cdf[key]))
+			}
+			if worstH > 1e-12 || worstCDF > 1e-12 {
+				t.Errorf("max |Δ| H %.3g, CDF %.3g over %d tables, want <= 1e-12", worstH, worstCDF, len(ref.h))
+			}
+
+			got, want := fast.assemble(), ref.assemble()
+			overflow := int32(sp.overflowState())
+			worstP, count, residue := 0.0, 0, 0
+			for s := range want.Actions {
+				for ai, wa := range want.Actions[s] {
+					g, w := got.Actions[s][ai].Transitions, wa.Transitions
+					for len(g) > 0 || len(w) > 0 {
+						var dp float64
+						switch {
+						case len(w) > 0 && len(g) > 0 && g[0].Next == w[0].Next:
+							dp = math.Abs(g[0].P - w[0].P)
+							g, w = g[1:], w[1:]
+						case len(g) > 0 && g[0].Next == overflow:
+							dp, residue = g[0].P, residue+1
+							g = g[1:]
+						case len(w) > 0 && w[0].Next == overflow:
+							dp, residue = w[0].P, residue+1
+							w = w[1:]
+						default:
+							t.Fatalf("state %d action %d: successors differ: %v vs by definition %v",
+								s, ai, got.Actions[s][ai].Transitions, wa.Transitions)
+						}
+						worstP = math.Max(worstP, dp)
+					}
+					count += len(wa.Transitions)
+				}
+			}
+			if worstP > 1e-12 {
+				t.Errorf("max |Δp| %.3g over %d transitions, want <= 1e-12", worstP, count)
+			}
+			t.Logf("%d tables: max |Δ| H %.3g CDF %.3g; %d transitions, max |Δp| %.3g, %d rounding-residue overflow entries",
+				len(ref.h), worstH, worstCDF, count, worstP, residue)
+		})
+	}
+}

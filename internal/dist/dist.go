@@ -12,6 +12,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Arrival is a query arrival distribution: PF(k, T) is the probability that
@@ -87,6 +88,66 @@ func PoissonCDF(k int, mu float64) float64 {
 	}
 	// Regularized upper incomplete gamma: P[X <= k] = Q(k+1, mu).
 	return regularizedGammaQ(float64(k)+1, mu)
+}
+
+// pmfWindowFloor is where PoissonPMFWindow cuts the pmf's tails. The pmf
+// falls off at least geometrically past the cut, so the mass left out on
+// each side is a few multiples of the floor — far below the 1e-10 floor
+// transition tables prune at.
+const pmfWindowFloor = 1e-16
+
+// PoissonPMFWindow returns the Poisson(mu) pmf over the window of counts
+// where it is at least pmfWindowFloor, truncated to counts <= maxCount:
+// row[i] = P[X = lo+i]. It evaluates PoissonPMF once, at the mode (or at
+// maxCount when the mode lies beyond it), and walks outward with the ratio
+// recurrence p(c+1) = p(c)·mu/(c+1), so a row costs a few flops per count
+// rather than one incomplete-gamma evaluation per count. A window that
+// reaches the floor on both sides is normalized to sum to 1. mu <= 0 is the
+// point mass at zero. The row reuses buf's storage when it has room.
+func PoissonPMFWindow(mu float64, maxCount int, buf []float64) (lo int, row []float64) {
+	row = buf[:0]
+	if maxCount < 0 {
+		return 0, row
+	}
+	if !(mu > 0) {
+		return 0, append(row, 1)
+	}
+	a := maxCount
+	if mu < float64(maxCount) {
+		a = int(mu)
+	}
+	pa := PoissonPMF(a, mu)
+	// Downward from the anchor, stored in reverse and flipped after.
+	row = append(row, pa)
+	for c, p := a, pa; c > 0; c-- {
+		p *= float64(c) / mu
+		if p < pmfWindowFloor {
+			break
+		}
+		row = append(row, p)
+	}
+	lo = a - len(row) + 1
+	slices.Reverse(row)
+	for c, p := a, pa; c < maxCount; c++ {
+		p *= mu / float64(c+1)
+		if p < pmfWindowFloor {
+			// The window holds all but a few floors of the mass, so
+			// normalizing it cancels the anchor's relative rounding error
+			// (~1e-13 at mu = 800), which running sums would otherwise
+			// carry into every CDF entry.
+			sum := 0.0
+			for _, q := range row {
+				sum += q
+			}
+			inv := 1 / sum
+			for i := range row {
+				row[i] *= inv
+			}
+			break
+		}
+		row = append(row, p)
+	}
+	return lo, row
 }
 
 // PoissonTail returns P[X >= k] for X ~ Poisson(mu).

@@ -349,3 +349,62 @@ func TestOnOffValidation(t *testing.T) {
 		}()
 	}
 }
+
+// poissonRowMeans spans the means the transition builder feeds the window
+// recurrence: near-empty service windows up to ten times the largest
+// per-latency mean of the K=60 image configuration.
+var poissonRowMeans = []float64{1e-6, 1e-3, 0.05, 0.5, 1, 2.5, 7, 18, 42.5, 99.9, 180, 360, 511.3, 800}
+
+// PoissonPMFWindow's rows, and their running sums, must match the exact
+// incomplete-gamma CDF at every count up to 2000 within 1e-12.
+func TestPoissonPMFWindowMatchesCDF(t *testing.T) {
+	const maxCount = 2000
+	var buf []float64
+	for _, mu := range poissonRowMeans {
+		lo, row := PoissonPMFWindow(mu, maxCount, buf)
+		buf = row
+		if lo < 0 || lo+len(row)-1 > maxCount {
+			t.Fatalf("mu=%g: window [%d, %d] outside [0, %d]", mu, lo, lo+len(row)-1, maxCount)
+		}
+		worstPMF, worstCDF := 0.0, 0.0
+		cum := 0.0
+		for c := 0; c <= maxCount; c++ {
+			p := 0.0
+			if i := c - lo; i >= 0 && i < len(row) {
+				p = row[i]
+			}
+			cum += p
+			worstPMF = math.Max(worstPMF, math.Abs(p-(PoissonCDF(c, mu)-PoissonCDF(c-1, mu))))
+			worstCDF = math.Max(worstCDF, math.Abs(cum-PoissonCDF(c, mu)))
+		}
+		if worstPMF > 1e-12 || worstCDF > 1e-12 {
+			t.Errorf("mu=%g: max |Δpmf| %.3g, max |ΔCDF| %.3g, want <= 1e-12", mu, worstPMF, worstCDF)
+		}
+		t.Logf("mu=%g: window [%d, %d], max |Δpmf| %.3g, max |ΔCDF| %.3g", mu, lo, lo+len(row)-1, worstPMF, worstCDF)
+	}
+}
+
+// A maxCount below the mode truncates the window from above; the row
+// still matches the pmf on the counts it covers.
+func TestPoissonPMFWindowTruncated(t *testing.T) {
+	for _, c := range []struct {
+		mu       float64
+		maxCount int
+	}{{50, 10}, {50, 49}, {800, 700}, {3, 0}} {
+		lo, row := PoissonPMFWindow(c.mu, c.maxCount, nil)
+		if hi := lo + len(row) - 1; hi != c.maxCount {
+			t.Errorf("mu=%g maxCount=%d: window ends at %d", c.mu, c.maxCount, hi)
+		}
+		for i, p := range row {
+			if want := PoissonPMF(lo+i, c.mu); math.Abs(p-want) > 1e-12*math.Max(1, want) {
+				t.Errorf("mu=%g count %d: %g, want %g", c.mu, lo+i, p, want)
+			}
+		}
+	}
+	if lo, row := PoissonPMFWindow(0, 5, nil); lo != 0 || len(row) != 1 || row[0] != 1 {
+		t.Errorf("mu=0: lo %d row %v, want point mass at 0", lo, row)
+	}
+	if _, row := PoissonPMFWindow(4, -1, nil); len(row) != 0 {
+		t.Errorf("maxCount -1: row %v, want empty", row)
+	}
+}

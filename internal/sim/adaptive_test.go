@@ -6,6 +6,7 @@ import (
 	"ramsis/internal/adapt"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
+	"ramsis/internal/mdp"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
 	"ramsis/internal/trace"
@@ -88,13 +89,18 @@ func TestAdaptiveRecoversFromRateStep(t *testing.T) {
 	}
 	// The forward-leg re-solve (20 -> 200) warm-starts from the cached
 	// 20-QPS policy's converged values and must beat the cold solve of the
-	// same 200-QPS problem on iteration count.
+	// same 200-QPS problem — the pinned Jacobi kernel from zeros — on
+	// iteration count.
 	if s.WarmStarts != 1 {
 		t.Errorf("warm starts = %d, want 1 (the forward leg seeds off the initial bucket)", s.WarmStarts)
 	}
 	coldCfg := adaptiveBase()
 	coldCfg.Arrival = dist.NewPoisson(200)
-	cold, err := core.Generate(coldCfg)
+	coldMDP, err := core.BuildWorkerMDP(coldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := mdp.Compile(coldMDP).Solve(mdp.SolveOptions{Gamma: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
